@@ -4,8 +4,8 @@
 //! a traffic generator, a server model, …) registered with the
 //! [`Simulator`](crate::Simulator). All of its interaction with the rest of
 //! the simulation happens through the [`Context`] it receives with every
-//! event: reading the clock, scheduling and cancelling events, drawing random
-//! numbers, and writing trace records.
+//! event: reading the clock, scheduling and cancelling events, and drawing
+//! random numbers.
 
 use core::any::Any;
 use core::fmt;
@@ -203,13 +203,6 @@ impl<'a> Context<'a> {
     /// The simulator's deterministic random-number source.
     pub fn rng(&mut self) -> &mut crate::rng::SimRng {
         &mut self.core.rng
-    }
-
-    /// Appends a trace record attributed to this component. Cheap no-op when
-    /// tracing is disabled.
-    pub fn trace(&mut self, label: &str, detail: impl fmt::Display) {
-        let id = self.self_id;
-        self.core.trace.record(self.core.now, id, label, detail);
     }
 }
 

@@ -7,6 +7,7 @@
 //! contract).
 
 use core::any::Any;
+use core::cmp::Ordering;
 use core::fmt;
 
 use crate::component::ComponentId;
@@ -110,56 +111,34 @@ impl fmt::Display for EventId {
 
 /// A fully-specified event sitting in the pending-event set.
 ///
-/// Only the kernel constructs these; custom [`EventQueue`] implementations
-/// order them by [`key`](ScheduledEvent::key) and otherwise treat them as
-/// opaque.
-///
-/// [`EventQueue`]: crate::EventQueue
-pub struct ScheduledEvent {
+/// Its [`Ord`] is reversed over `(time, seq)`, so the kernel's max-heap pops
+/// the earliest event first and, among equal times, the one scheduled first.
+pub(crate) struct ScheduledEvent {
     pub(crate) time: SimTime,
-    /// FIFO tie-breaker: strictly increasing across all scheduled events.
+    /// FIFO tie-breaker: strictly increasing across all scheduled events, and
+    /// the event's [`EventId`].
     pub(crate) seq: u64,
-    pub(crate) id: EventId,
     pub(crate) target: ComponentId,
     pub(crate) msg: Box<dyn Message>,
 }
 
-impl ScheduledEvent {
-    /// The instant this event fires.
-    #[must_use]
-    pub fn time(&self) -> SimTime {
-        self.time
-    }
-
-    /// The global scheduling order of this event (FIFO tie-breaker).
-    #[must_use]
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// The component the event is addressed to.
-    #[must_use]
-    pub fn target(&self) -> ComponentId {
-        self.target
-    }
-
-    /// The deterministic execution key: earlier time first, then earlier
-    /// scheduling order.
-    #[must_use]
-    pub fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
+impl PartialEq for ScheduledEvent {
+    fn eq(&self, other: &Self) -> bool {
+        self.seq == other.seq
     }
 }
 
-impl fmt::Debug for ScheduledEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ScheduledEvent")
-            .field("time", &self.time)
-            .field("seq", &self.seq)
-            .field("id", &self.id)
-            .field("target", &self.target)
-            .field("msg", &self.msg)
-            .finish()
+impl Eq for ScheduledEvent {}
+
+impl PartialOrd for ScheduledEvent {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ScheduledEvent {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.time, other.seq).cmp(&(self.time, self.seq))
     }
 }
 
@@ -194,20 +173,14 @@ mod tests {
 
     #[test]
     fn event_key_orders_by_time_then_seq() {
-        let a = ScheduledEvent {
-            time: SimTime::from_nanos(5),
-            seq: 2,
-            id: EventId(0),
+        let ev = |time_ns: u64, seq: u64| ScheduledEvent {
+            time: SimTime::from_nanos(time_ns),
+            seq,
             target: ComponentId::from_raw(0),
             msg: Box::new(Pong),
         };
-        let b = ScheduledEvent {
-            time: SimTime::from_nanos(5),
-            seq: 3,
-            id: EventId(1),
-            target: ComponentId::from_raw(0),
-            msg: Box::new(Pong),
-        };
-        assert!(a.key() < b.key());
+        // Reversed: the event that must fire first compares greatest.
+        assert!(ev(5, 2) > ev(5, 3));
+        assert!(ev(4, 9) > ev(5, 2));
     }
 }

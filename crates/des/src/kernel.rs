@@ -2,14 +2,12 @@
 //! the main event loop.
 
 use std::any::{Any, TypeId};
-use std::collections::HashSet;
+use std::collections::{BinaryHeap, HashSet};
 
 use crate::component::{make_context, Component, ComponentId, Context};
 use crate::event::{EventId, Message, ScheduledEvent};
-use crate::queue::{EventQueue, QueueKind};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceLog;
 
 /// Ceiling on recycled boxes retained per concrete message type. Keeps the
 /// pool bounded if a scenario recycles far more of one type than it ever
@@ -56,9 +54,8 @@ impl MessagePool {
 /// borrowed out for dispatch.
 pub(crate) struct SimCore {
     pub(crate) now: SimTime,
-    pub(crate) queue: Box<dyn EventQueue>,
+    queue: BinaryHeap<ScheduledEvent>,
     pub(crate) rng: SimRng,
-    pub(crate) trace: TraceLog,
     cancelled: HashSet<u64>,
     next_seq: u64,
     names: Vec<String>,
@@ -109,17 +106,13 @@ impl SimCore {
     ) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let id = EventId(seq);
-        self.trace
-            .record(self.now, target, "sched", format_args!("{id} @ {time}"));
         self.queue.push(ScheduledEvent {
             time,
             seq,
-            id,
             target,
             msg,
         });
-        id
+        EventId(seq)
     }
 
     pub(crate) fn cancel(&mut self, id: EventId) {
@@ -130,11 +123,6 @@ impl SimCore {
         self.names.get(id.index()).map_or("?", String::as_str)
     }
 }
-
-/// The default ceiling on dispatched events for [`Simulator::run`]; a
-/// backstop against accidentally unbounded simulations rather than a limit
-/// any real scenario in this workspace approaches.
-pub const DEFAULT_EVENT_LIMIT: u64 = u64::MAX;
 
 /// A deterministic discrete-event simulator.
 ///
@@ -147,8 +135,7 @@ pub const DEFAULT_EVENT_LIMIT: u64 = u64::MAX;
 ///
 /// Determinism contract: with the same seed, the same component registration
 /// order and the same scheduling calls, two runs produce identical event
-/// orders, identical RNG draws and identical traces — regardless of which
-/// [`EventQueue`] implementation backs the pending-event set.
+/// orders and identical RNG draws.
 ///
 /// # Examples
 ///
@@ -184,48 +171,15 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Creates a simulator with the default pending-event set
-    /// ([`QueueKind::default`]) and a fixed default seed (0), so unseeded
+    /// Creates a simulator with a fixed default seed (0), so unseeded
     /// simulations are still reproducible.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_queue(QueueKind::default().build())
-    }
-
-    /// Creates a simulator with an explicit random seed.
-    #[must_use]
-    pub fn with_seed(seed: u64) -> Self {
-        let mut sim = Self::new();
-        sim.core.rng = SimRng::seeded(seed);
-        sim
-    }
-
-    /// Creates a simulator with a named pending-event set implementation.
-    /// The determinism contract makes the choice invisible to results; it
-    /// only affects scheduler cost (see `BENCH_perf.json`).
-    #[must_use]
-    pub fn with_queue_kind(kind: QueueKind) -> Self {
-        Self::with_queue(kind.build())
-    }
-
-    /// [`with_queue_kind`](Self::with_queue_kind) plus an explicit seed.
-    #[must_use]
-    pub fn with_seed_and_queue(seed: u64, kind: QueueKind) -> Self {
-        let mut sim = Self::with_queue_kind(kind);
-        sim.core.rng = SimRng::seeded(seed);
-        sim
-    }
-
-    /// Creates a simulator backed by a caller-chosen pending-event set
-    /// (e.g. [`CalendarQueue`](crate::CalendarQueue)).
-    #[must_use]
-    pub fn with_queue(queue: Box<dyn EventQueue>) -> Self {
         Simulator {
             core: SimCore {
                 now: SimTime::ZERO,
-                queue,
+                queue: BinaryHeap::new(),
                 rng: SimRng::seeded(0),
-                trace: TraceLog::disabled(),
                 cancelled: HashSet::new(),
                 next_seq: 0,
                 names: Vec::new(),
@@ -235,6 +189,14 @@ impl Simulator {
             components: Vec::new(),
             started: false,
         }
+    }
+
+    /// Creates a simulator with an explicit random seed.
+    #[must_use]
+    pub fn with_seed(seed: u64) -> Self {
+        let mut sim = Self::new();
+        sim.core.rng = SimRng::seeded(seed);
+        sim
     }
 
     /// Enables or disables event-box recycling (on by default). Pooling is
@@ -337,19 +299,6 @@ impl Simulator {
         f(&mut ctx)
     }
 
-    /// Enables in-memory tracing with the given capacity (older records are
-    /// dropped once full).
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.core.trace = TraceLog::enabled(capacity);
-    }
-
-    /// The trace log (empty unless [`enable_trace`](Self::enable_trace) was
-    /// called).
-    #[must_use]
-    pub fn trace(&self) -> &TraceLog {
-        &self.core.trace
-    }
-
     /// Direct access to the deterministic RNG, for scenario-level draws.
     pub fn rng(&mut self) -> &mut SimRng {
         &mut self.core.rng
@@ -386,7 +335,7 @@ impl Simulator {
             let Some(event) = self.core.queue.pop() else {
                 return false;
             };
-            if self.core.cancelled.remove(&event.id.0) {
+            if self.core.cancelled.remove(&event.seq) {
                 // A cancelled event's box never reaches a component; reclaim
                 // it for the next schedule of the same message type.
                 self.core.recycle_msg(event.msg);
@@ -396,11 +345,11 @@ impl Simulator {
             self.core.now = event.time;
             self.core.events_processed += 1;
             let target = event.target;
-            self.core
-                .trace
-                .record(event.time, target, "fire", format_args!("{}", event.id));
             let Some(slot) = self.components.get_mut(target.index()) else {
-                panic!("event {} targets unknown component {target}", event.id);
+                panic!(
+                    "event {} targets unknown component {target}",
+                    EventId(event.seq)
+                );
             };
             let mut component = slot
                 .take()
@@ -430,8 +379,8 @@ impl Simulator {
         self.ensure_started();
         let mut dispatched = 0;
         loop {
-            match self.core.queue.peek_time() {
-                Some(t) if t <= until => {
+            match self.core.queue.peek() {
+                Some(event) if event.time <= until => {
                     if self.step() {
                         dispatched += 1;
                     }
@@ -449,47 +398,6 @@ impl Simulator {
     pub fn run_for(&mut self, span: SimDuration) -> u64 {
         let until = self.core.now.saturating_add(span);
         self.run_until(until)
-    }
-
-    /// Runs like [`run_until`](Self::run_until) but paces dispatch against
-    /// the host wall clock, scaled by `speedup` (1.0 = real time, 2.0 = twice
-    /// real time). This mirrors the NS-2 *real-time scheduler* the paper uses
-    /// for hardware validation; simulation results are identical to the
-    /// virtual-time run, only wall-clock pacing differs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `speedup` is not a positive finite number.
-    pub fn run_until_realtime(&mut self, until: SimTime, speedup: f64) -> u64 {
-        assert!(
-            speedup.is_finite() && speedup > 0.0,
-            "speedup must be positive and finite, got {speedup}"
-        );
-        self.ensure_started();
-        let wall_start = std::time::Instant::now();
-        let sim_start = self.core.now;
-        let mut dispatched = 0;
-        loop {
-            match self.core.queue.peek_time() {
-                Some(t) if t <= until => {
-                    let sim_elapsed = t.saturating_duration_since(sim_start);
-                    let wall_target =
-                        std::time::Duration::from_secs_f64(sim_elapsed.as_secs_f64() / speedup);
-                    let wall_elapsed = wall_start.elapsed();
-                    if wall_target > wall_elapsed {
-                        std::thread::sleep(wall_target - wall_elapsed);
-                    }
-                    if self.step() {
-                        dispatched += 1;
-                    }
-                }
-                _ => break,
-            }
-        }
-        if until > self.core.now {
-            self.core.now = until;
-        }
-        dispatched
     }
 }
 
@@ -566,6 +474,25 @@ mod tests {
         sim.run(100);
         let rec: &Recorder = sim.component(id).expect("registered");
         assert_eq!(rec.seen, vec![(SimTime::from_nanos(6), 2)]);
+    }
+
+    #[test]
+    fn cancelling_a_fired_event_is_a_no_op() {
+        let mut sim = Simulator::new();
+        let id = sim.add_component("rec", Recorder::default());
+        let fired = sim.with_context(|ctx| ctx.schedule_in(SimDuration::from_nanos(5), id, Num(1)));
+        sim.run(100);
+        sim.with_context(|ctx| {
+            ctx.cancel(fired);
+            ctx.schedule_in(SimDuration::from_nanos(5), id, Num(2));
+        });
+        sim.run(100);
+        let rec: &Recorder = sim.component(id).expect("registered");
+        assert_eq!(
+            rec.seen,
+            vec![(SimTime::from_nanos(5), 1), (SimTime::from_nanos(10), 2)]
+        );
+        assert_eq!(sim.events_processed(), 2);
     }
 
     #[test]
@@ -653,47 +580,6 @@ mod tests {
         assert_eq!(sim.name_of(ComponentId::from_raw(99)), "?");
     }
 
-    #[test]
-    fn realtime_pacing_matches_virtual_results() {
-        // The real-time scheduler (the paper's validation mode) must
-        // produce identical simulation results to the virtual-time run;
-        // only wall-clock pacing differs. A huge speedup keeps the test
-        // fast.
-        let build = |sim: &mut Simulator| -> ComponentId {
-            let id = sim.add_component("rec", Recorder::default());
-            sim.with_context(|ctx| {
-                for i in 0..20u64 {
-                    ctx.schedule_in(SimDuration::from_millis(i * 10), id, Num(i));
-                }
-            });
-            id
-        };
-        let mut virtual_run = Simulator::new();
-        let idv = build(&mut virtual_run);
-        virtual_run.run_until(SimTime::from_secs(1));
-
-        let mut realtime_run = Simulator::new();
-        let idr = build(&mut realtime_run);
-        let wall = std::time::Instant::now();
-        realtime_run.run_until_realtime(SimTime::from_secs(1), 50.0);
-        let elapsed = wall.elapsed();
-        assert_eq!(
-            virtual_run
-                .component::<Recorder>(idv)
-                .expect("registered")
-                .seen,
-            realtime_run
-                .component::<Recorder>(idr)
-                .expect("registered")
-                .seen,
-        );
-        // 1 simulated second at 50x is ~20 ms of wall pacing.
-        assert!(
-            elapsed >= std::time::Duration::from_millis(2),
-            "real-time mode must actually pace ({elapsed:?})"
-        );
-    }
-
     /// Re-arms itself `remaining` times, recycling every delivered box.
     struct RecyclingTicker {
         remaining: u32,
@@ -729,7 +615,6 @@ mod tests {
                     fired: 0,
                 },
             );
-            sim.enable_trace(4096);
             sim.with_context(|ctx| {
                 for i in 0..50u64 {
                     let doomed = ctx.schedule_in(SimDuration::from_nanos(i * 3), rec, Num(i));
@@ -746,8 +631,7 @@ mod tests {
                 .expect("registered")
                 .seen
                 .clone();
-            let trace = sim.trace().to_text();
-            (seen, trace, sim.events_processed())
+            (seen, sim.events_processed())
         };
         assert_eq!(run(true), run(false));
     }
@@ -765,25 +649,6 @@ mod tests {
         sim.run(10_000);
         let t: &RecyclingTicker = sim.component(id).expect("registered");
         assert_eq!(t.fired, 501);
-    }
-
-    #[test]
-    fn queue_kinds_are_interchangeable() {
-        let run = |kind: QueueKind| {
-            let mut sim = Simulator::with_seed_and_queue(3, kind);
-            let id = sim.add_component("rec", Recorder::default());
-            sim.with_context(|ctx| {
-                for i in 0..64u64 {
-                    ctx.schedule_in(SimDuration::from_nanos((i * 37) % 11), id, Num(i));
-                }
-            });
-            sim.run(1_000);
-            sim.component::<Recorder>(id)
-                .expect("registered")
-                .seen
-                .clone()
-        };
-        assert_eq!(run(QueueKind::BinaryHeap), run(QueueKind::Calendar));
     }
 
     #[test]

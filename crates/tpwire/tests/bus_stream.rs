@@ -685,35 +685,6 @@ fn stream_integrity_across_the_configuration_matrix() {
 }
 
 #[test]
-fn kernel_trace_captures_bus_activity() {
-    let mut sim = Simulator::with_seed(42);
-    sim.enable_trace(4096);
-    let bus_id = ComponentId::from_raw(0);
-    let bus = TpWireBus::new(BusParams::theseus_default(), vec![node(1), node(2)]);
-    let actual = sim.add_component("bus", bus);
-    assert_eq!(actual, bus_id);
-    sim.with_context(|ctx| {
-        ctx.send(
-            bus_id,
-            SendStream {
-                from: node(1),
-                to: StreamEndpoint::Slave(node(2)),
-                payload: Bytes::from_static(b"traced"),
-            },
-        );
-    });
-    sim.run_until(SimTime::from_micros(500));
-    let trace = sim.trace();
-    assert!(trace.is_enabled());
-    let scheds = trace.with_label("sched").count();
-    let fires = trace.with_label("fire").count();
-    assert!(scheds > 10, "bus transactions schedule events ({scheds})");
-    assert!(fires > 10, "and they fire ({fires})");
-    let text = trace.to_text();
-    assert!(text.lines().count() > 20);
-}
-
-#[test]
 fn regression_mode_b_single_flow_does_not_livelock() {
     // Two lanes + a single relay flow between two slaves: eager INT-polls
     // from the idle lane once transiently owned the endpoints the parked

@@ -1,14 +1,11 @@
-//! Cross-queue byte-identity: the kernel's determinism contract promises
-//! that the pending-event-set implementation (binary heap vs calendar
-//! queue) and the message-box pool are invisible to results. This file
-//! makes that promise a property: arbitrary schedule/cancel programs must
-//! dispatch identically — same order, same times, same trace — under
-//! every queue kind × pooling combination.
+//! Pooling byte-identity: the kernel's determinism contract promises that
+//! the message-box pool is invisible to results. This file makes that
+//! promise a property: arbitrary schedule/cancel programs must dispatch
+//! identically — same order, same times, same event count — with pooling
+//! on and off.
 
 use proptest::prelude::*;
-use tsbus_des::{
-    Component, Context, Message, MessageExt, QueueKind, SimDuration, SimTime, Simulator,
-};
+use tsbus_des::{Component, Context, Message, MessageExt, SimDuration, SimTime, Simulator};
 
 /// One scheduling instruction of a generated program.
 #[derive(Debug, Clone, Copy)]
@@ -21,7 +18,7 @@ struct Instr {
     /// Cancel the event right after scheduling it.
     cancel: bool,
     /// Re-arm a follow-up event on delivery (exercises scheduling from
-    /// inside handlers, where calendar buckets resize mid-run).
+    /// inside handlers).
     rearm: bool,
 }
 
@@ -52,18 +49,12 @@ impl Component for Recorder {
     }
 }
 
-/// Replays `program` on a simulator backed by `kind`, returning every
-/// observable: per-recorder delivery logs, the kernel trace text, and the
-/// dispatched-event count.
-fn run_program(
-    program: &[Instr],
-    kind: QueueKind,
-    pooling: bool,
-) -> (Vec<Vec<(SimTime, u64)>>, String, u64) {
+/// Replays `program`, returning every observable: per-recorder delivery
+/// logs and the dispatched-event count.
+fn run_program(program: &[Instr], pooling: bool) -> (Vec<Vec<(SimTime, u64)>>, u64) {
     const RECORDERS: usize = 3;
-    let mut sim = Simulator::with_seed_and_queue(42, kind);
+    let mut sim = Simulator::with_seed(42);
     sim.set_pooling(pooling);
-    sim.enable_trace(1 << 16);
     let ids: Vec<_> = (0..RECORDERS)
         .map(|r| sim.add_component(format!("rec{r}"), Recorder::default()))
         .collect();
@@ -88,7 +79,7 @@ fn run_program(
             rec.log.clone()
         })
         .collect();
-    (logs, sim.trace().to_text(), sim.events_processed())
+    (logs, sim.events_processed())
 }
 
 fn instr_strategy() -> impl Strategy<Value = Instr> {
@@ -103,38 +94,21 @@ fn instr_strategy() -> impl Strategy<Value = Instr> {
 }
 
 proptest! {
-    /// The doc-comment contract of `tsbus_des::queue`: queue kind and
-    /// pooling are byte-invisible to dispatch order, times and traces.
+    /// Pooling is byte-invisible to dispatch order, times and event counts,
+    /// cancelled events included.
     #[test]
     fn queue_kind_and_pooling_are_invisible(
         program in proptest::collection::vec(instr_strategy(), 0..120)
     ) {
-        let reference = run_program(&program, QueueKind::BinaryHeap, true);
-        for kind in [QueueKind::BinaryHeap, QueueKind::Calendar] {
-            for pooling in [true, false] {
-                if kind == QueueKind::BinaryHeap && pooling {
-                    continue; // the reference itself
-                }
-                let other = run_program(&program, kind, pooling);
-                prop_assert_eq!(
-                    &reference.0, &other.0,
-                    "delivery logs diverged under {:?}/pooling={}", kind, pooling
-                );
-                prop_assert_eq!(
-                    &reference.1, &other.1,
-                    "kernel traces diverged under {:?}/pooling={}", kind, pooling
-                );
-                prop_assert_eq!(
-                    reference.2, other.2,
-                    "event counts diverged under {:?}/pooling={}", kind, pooling
-                );
-            }
-        }
+        let pooled = run_program(&program, true);
+        let unpooled = run_program(&program, false);
+        prop_assert_eq!(&pooled.0, &unpooled.0, "delivery logs diverged");
+        prop_assert_eq!(pooled.1, unpooled.1, "event counts diverged");
     }
 }
 
 /// Deterministic spot check: a dense burst of same-time events keeps FIFO
-/// order on both queues (the tie-break the property above relies on).
+/// order (the tie-break the property above relies on).
 #[test]
 fn same_time_events_dispatch_fifo_on_both_queues() {
     let program: Vec<Instr> = (0..64)
@@ -145,10 +119,8 @@ fn same_time_events_dispatch_fifo_on_both_queues() {
             rearm: false,
         })
         .collect();
-    let heap = run_program(&program, QueueKind::BinaryHeap, true);
-    let calendar = run_program(&program, QueueKind::Calendar, true);
-    assert_eq!(heap.0, calendar.0);
-    for log in &heap.0 {
+    let (logs, _) = run_program(&program, true);
+    for log in &logs {
         let tags: Vec<u64> = log.iter().map(|&(_, tag)| tag).collect();
         let mut sorted = tags.clone();
         sorted.sort_unstable();
