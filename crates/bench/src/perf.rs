@@ -6,6 +6,9 @@
 //! operations) per second for both. Because each optimization is
 //! behaviour-invisible, the two runs dispatch the *same* event sequence;
 //! the harness asserts that where the workload exposes an event counter.
+//! The full-stack chaos and shard arms also assert that both variants
+//! produce the same simulated trial results (outcomes and statistics), a
+//! check that still holds for optimizations that remove kernel events.
 //!
 //! The arms:
 //!
@@ -210,11 +213,35 @@ fn time_best(repeats: usize, mut f: impl FnMut() -> u64) -> (f64, u64) {
 }
 
 fn measure(name: &'static str, repeats: usize, mut run: impl FnMut(bool) -> u64) -> ArmResult {
-    let (baseline_s, base_events) = time_best(repeats, || run(false));
-    let (optimized_s, opt_events) = time_best(repeats, || run(true));
+    measure_trial(name, repeats, |optimized| (run(optimized), String::new()))
+}
+
+/// [`measure`] for arms whose `run` also returns the trial's simulated
+/// results, rendered with `Debug`: both variants must agree on them as
+/// well as on the event count.
+fn measure_trial(
+    name: &'static str,
+    repeats: usize,
+    mut run: impl FnMut(bool) -> (u64, String),
+) -> ArmResult {
+    let mut results = [String::new(), String::new()];
+    let (baseline_s, base_events) = time_best(repeats, || {
+        let (events, result) = run(false);
+        results[0] = result;
+        events
+    });
+    let (optimized_s, opt_events) = time_best(repeats, || {
+        let (events, result) = run(true);
+        results[1] = result;
+        events
+    });
     assert_eq!(
         base_events, opt_events,
         "{name}: optimizations must not change the event count"
+    );
+    assert!(
+        results[0] == results[1],
+        "{name}: optimizations must not change the simulated results"
     );
     ArmResult {
         name,
@@ -351,19 +378,21 @@ fn standing_trial(optimized: bool, n_items: u64) -> u64 {
 }
 
 /// The pinned fault-injection chaos trial (seed 11: crash + revive under
-/// retries with dedup on).
-fn chaos_trial(optimized: bool) -> u64 {
+/// retries with dedup on): its event count and its whole result.
+fn chaos_trial(optimized: bool) -> (u64, String) {
     let cfg = ChaosConfig {
         indexed_space: optimized,
         pooling: optimized,
         ..ChaosConfig::default()
     };
-    run_chaos_trial(&cfg, 11).events_processed
+    let trial = run_chaos_trial(&cfg, 11);
+    (trial.events_processed, format!("{trial:?}"))
 }
 
 /// The pinned sharded trial: 4 shards, 2-way mirrored, quorum writes,
-/// read + take phases (the `fig_shard_sweep` reference point).
-fn shard_trial(optimized: bool, n_items: u64) -> u64 {
+/// read + take phases (the `fig_shard_sweep` reference point): its event
+/// count and its whole result.
+fn shard_trial(optimized: bool, n_items: u64) -> (u64, String) {
     let shard = ShardConfig::new(4, ReplicationConfig::mirrored(2))
         .expect("the pinned shard point is valid");
     let mut cfg = ShardTrialConfig::new(shard);
@@ -376,7 +405,7 @@ fn shard_trial(optimized: bool, n_items: u64) -> u64 {
     cfg.pooling = optimized;
     let result = run_shard_trial(&cfg, 5);
     assert!(result.finished, "the pinned shard trial must finish");
-    result.events_processed
+    (result.events_processed, format!("{result:?}"))
 }
 
 /// Keyed read + take against a standing space of `n` tuples: O(n²)
@@ -504,8 +533,8 @@ pub fn run_all(smoke: bool) -> PerfReport {
         measure("campaign_standing", repeats, |opt| {
             standing_trial(opt, standing_items)
         }),
-        measure("campaign_chaos", repeats, chaos_trial),
-        measure("campaign_shard", repeats, |opt| {
+        measure_trial("campaign_chaos", repeats, chaos_trial),
+        measure_trial("campaign_shard", repeats, |opt| {
             shard_trial(opt, shard_items)
         }),
         measure("micro_space_index", repeats, |opt| space_ops(opt, space_n)),
@@ -593,5 +622,11 @@ mod tests {
         assert_eq!(space_ops(false, 64), space_ops(true, 64));
         assert_eq!(ticker_storm(false, 4, 50), ticker_storm(true, 4, 50));
         assert_eq!(codec_loop(false, 10), codec_loop(true, 10));
+    }
+
+    #[test]
+    fn full_stack_trials_agree_across_variants() {
+        assert_eq!(chaos_trial(false), chaos_trial(true));
+        assert_eq!(shard_trial(false, 8), shard_trial(true, 8));
     }
 }

@@ -175,6 +175,29 @@ impl<'a> Context<'a> {
         self.schedule_in(delay, target, msg)
     }
 
+    /// Moves the clock forward to `t` without dispatching an event, so the
+    /// caller can handle follow-up work of its own inline instead of
+    /// scheduling it. Returns whether the clock moved.
+    ///
+    /// It moves only when all of these hold, which makes the inline work
+    /// indistinguishable from dispatching it as an event at `t`:
+    ///
+    /// * a [`Simulator::run_until`] is in progress — never from
+    ///   [`Simulator::step`], [`Simulator::run`],
+    ///   [`Simulator::with_context`] or a [`Component::start`] hook;
+    /// * `now <= t <= until`;
+    /// * `t` is strictly earlier than every pending event, cancelled ones
+    ///   included, so no other handler could run first and no equal-time
+    ///   tie could order differently.
+    ///
+    /// [`Simulator::run_until`]: crate::Simulator::run_until
+    /// [`Simulator::step`]: crate::Simulator::step
+    /// [`Simulator::run`]: crate::Simulator::run
+    /// [`Simulator::with_context`]: crate::Simulator::with_context
+    pub fn advance_to(&mut self, t: SimTime) -> bool {
+        self.core.advance_to(t)
+    }
+
     /// Cancels a pending event. A no-op if the event already fired or was
     /// already cancelled.
     pub fn cancel(&mut self, event: EventId) {

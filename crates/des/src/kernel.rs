@@ -61,6 +61,9 @@ pub(crate) struct SimCore {
     names: Vec<String>,
     events_processed: u64,
     pool: MessagePool,
+    /// The `until` of the [`Simulator::run_until`] in progress, if any:
+    /// the farthest [`Context::advance_to`] may move the clock.
+    horizon: Option<SimTime>,
 }
 
 impl SimCore {
@@ -113,6 +116,23 @@ impl SimCore {
             msg,
         });
         EventId(seq)
+    }
+
+    /// Moves the clock to `t` if no pending event could fire first (see
+    /// [`Context::advance_to`]).
+    pub(crate) fn advance_to(&mut self, t: SimTime) -> bool {
+        let Some(until) = self.horizon else {
+            return false;
+        };
+        // Cancelled events still in the heap count as pending: the check
+        // may refuse needlessly, never wrongly.
+        let clear = self.queue.peek().is_none_or(|next| t < next.time);
+        if self.now <= t && t <= until && clear {
+            self.now = t;
+            true
+        } else {
+            false
+        }
     }
 
     pub(crate) fn cancel(&mut self, id: EventId) {
@@ -185,6 +205,7 @@ impl Simulator {
                 names: Vec::new(),
                 events_processed: 0,
                 pool: MessagePool::new(),
+                horizon: None,
             },
             components: Vec::new(),
             started: false,
@@ -254,7 +275,11 @@ impl Simulator {
         ComponentId::from_raw(self.components.len())
     }
 
-    /// Number of events dispatched so far.
+    /// Number of events the kernel dispatched so far.
+    ///
+    /// Counts kernel dispatches only: work a component runs inline after
+    /// [`Context::advance_to`] (the TpWIRE bus's own frame completions,
+    /// for instance) is not an event here.
     #[must_use]
     pub fn events_processed(&self) -> u64 {
         self.core.events_processed
@@ -374,9 +399,16 @@ impl Simulator {
     }
 
     /// Runs every event with `time <= until`, then advances the clock to
-    /// exactly `until`. Returns the number of events dispatched.
+    /// exactly `until`. Returns the number of events the kernel dispatched.
+    ///
+    /// While the loop runs, `until` is the horizon of
+    /// [`Context::advance_to`]: a handler may run its own follow-up work
+    /// inline up to it, as long as no pending event could fire first.
+    /// Splitting one `run_until` into several shorter ones therefore caps
+    /// that run-ahead but never changes simulated behaviour.
     pub fn run_until(&mut self, until: SimTime) -> u64 {
         self.ensure_started();
+        self.core.horizon = Some(until);
         let mut dispatched = 0;
         loop {
             match self.core.queue.peek() {
@@ -388,6 +420,7 @@ impl Simulator {
                 _ => break,
             }
         }
+        self.core.horizon = None;
         if until > self.core.now {
             self.core.now = until;
         }
@@ -649,6 +682,128 @@ mod tests {
         sim.run(10_000);
         let t: &RecyclingTicker = sim.component(id).expect("registered");
         assert_eq!(t.fired, 501);
+    }
+
+    /// On every delivery, asks to advance the clock to each of `probes` in
+    /// turn and records each answer with the clock after it; also records
+    /// the answer it got in its start hook.
+    #[derive(Default)]
+    struct Prober {
+        probes: Vec<SimTime>,
+        answers: Vec<(bool, SimTime)>,
+        at_start: Option<bool>,
+    }
+
+    impl Component for Prober {
+        fn start(&mut self, ctx: &mut Context<'_>) {
+            let now = ctx.now();
+            self.at_start = Some(ctx.advance_to(now));
+        }
+
+        fn handle(&mut self, ctx: &mut Context<'_>, _msg: Box<dyn Message>) {
+            for &t in &self.probes {
+                let moved = ctx.advance_to(t);
+                self.answers.push((moved, ctx.now()));
+            }
+        }
+    }
+
+    fn ns(n: u64) -> SimTime {
+        SimTime::from_nanos(n)
+    }
+
+    #[test]
+    fn advance_to_refuses_outside_run_until() {
+        let mut sim = Simulator::new();
+        let id = sim.add_component(
+            "probe",
+            Prober {
+                probes: vec![ns(3)],
+                ..Prober::default()
+            },
+        );
+        let from_env = sim.with_context(|ctx| {
+            ctx.schedule_at(ns(1), id, Num(1));
+            ctx.schedule_at(ns(2), id, Num(2));
+            ctx.advance_to(SimTime::ZERO)
+        });
+        assert!(!from_env, "with_context must not move the clock");
+        assert!(sim.step());
+        assert_eq!(sim.run(1), 1);
+        let probe: &Prober = sim.component(id).expect("registered");
+        assert_eq!(
+            probe.at_start,
+            Some(false),
+            "start hooks must not move the clock"
+        );
+        assert_eq!(probe.answers, vec![(false, ns(1)), (false, ns(2))]);
+        assert_eq!(sim.now(), ns(2));
+    }
+
+    #[test]
+    fn advance_to_stops_short_of_pending_events_the_horizon_and_the_past() {
+        let mut sim = Simulator::new();
+        let id = sim.add_component(
+            "probe",
+            Prober {
+                probes: vec![
+                    ns(20),
+                    ns(10),
+                    ns(5),
+                    ns(10),
+                    ns(13),
+                    ns(11),
+                    ns(40),
+                    ns(30),
+                ],
+                ..Prober::default()
+            },
+        );
+        let rec = sim.add_component("rec", Recorder::default());
+        sim.with_context(|ctx| {
+            ctx.schedule_at(ns(1), id, Num(1));
+            ctx.schedule_at(ns(20), rec, Num(2));
+            let doomed = ctx.schedule_at(ns(12), rec, Num(3));
+            ctx.cancel(doomed);
+        });
+        assert_eq!(sim.run_until(ns(30)), 2);
+        let probe: &Prober = sim.component(id).expect("registered");
+        assert_eq!(
+            probe.answers,
+            vec![
+                (false, ns(1)),  // exactly the earliest pending event's time
+                (true, ns(10)),  // clear of every pending event
+                (false, ns(10)), // backwards
+                (true, ns(10)),  // staying put is allowed
+                (false, ns(10)), // past a cancelled event still in the heap
+                (true, ns(11)),
+                (false, ns(11)), // past the pending event and past `until`
+                (false, ns(11)), // `until` itself, but events at 12 and 20 ns come first
+            ]
+        );
+        let rec: &Recorder = sim.component(rec).expect("registered");
+        assert_eq!(rec.seen, vec![(ns(20), 2)]);
+        assert_eq!(sim.events_processed(), 2, "inline work is not an event");
+        assert_eq!(sim.now(), ns(30));
+    }
+
+    #[test]
+    fn advance_to_may_reach_but_not_pass_until() {
+        let mut sim = Simulator::new();
+        let id = sim.add_component(
+            "probe",
+            Prober {
+                probes: vec![ns(9), ns(8)],
+                ..Prober::default()
+            },
+        );
+        sim.with_context(|ctx| {
+            ctx.schedule_at(ns(1), id, Num(1));
+        });
+        sim.run_until(ns(8));
+        let probe: &Prober = sim.component(id).expect("registered");
+        assert_eq!(probe.answers, vec![(false, ns(1)), (true, ns(8))]);
+        assert_eq!(sim.events_processed(), 1);
     }
 
     #[test]

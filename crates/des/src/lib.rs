@@ -11,7 +11,11 @@
 //! heap ordered by time, then scheduling order), and a registry of
 //! [`Component`]s. Components react to [`Message`]s and use their
 //! [`Context`] to schedule and cancel further events and to draw
-//! deterministic random numbers ([`SimRng`]).
+//! deterministic random numbers ([`SimRng`]). Inside
+//! [`Simulator::run_until`], a handler may also move the clock with
+//! [`Context::advance_to`] to an instant before every pending event and
+//! run its own follow-up work inline, which no other component can tell
+//! apart from a dispatched event.
 //!
 //! ## Determinism
 //!

@@ -36,11 +36,20 @@
 //! * In `ParallelBuses` wiring, concurrent lanes never touch the same slave
 //!   at the same time (per-slave ownership is held for the duration of a
 //!   service slot), modeling driver-level mutual exclusion.
+//!
+//! ## Run-ahead
+//!
+//! The bus's own follow-up events (frame completions, poll timers, retry
+//! backoffs) run inline, without a kernel dispatch, whenever
+//! [`Context::advance_to`] confirms no other pending event could fire
+//! first; the rest are scheduled as ordinary self-messages. Simulated
+//! behaviour is identical either way (see `DESIGN.md` §5); only the
+//! kernel's event count differs.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
-use tsbus_des::{Component, ComponentId, Context, Message, MessageExt, SimTime};
+use tsbus_des::{Component, ComponentId, Context, Message, MessageExt, SimDuration, SimTime};
 use tsbus_faults::{Admission, BreakerState, FaultCommand, FaultKind, FrameClass, GilbertElliott};
 use tsbus_proto::{frame_step, FrameStep};
 
@@ -53,6 +62,10 @@ use crate::wiring::{BusParams, RESET_TIMEOUT_BITS};
 
 /// Header byte that addresses the master instead of a slave.
 const DST_MASTER: u8 = 0x80;
+
+/// Number of 7-bit node ids, broadcast included: the size of the table
+/// indexed by raw node id.
+const NODE_IDS: usize = 128;
 
 /// Length of the relay header pushed ahead of every stream payload.
 pub const STREAM_HEADER_BYTES: usize = 3;
@@ -276,11 +289,27 @@ struct InFlight {
     attempts: u8,
 }
 
-/// Outcome of one transaction attempt, delivered as a self-message.
+/// One of the bus's own follow-up events. The bus runs these inline while
+/// no other event could fire first (see [`TpWireBus::run_ahead`]) and
+/// hands the rest to the kernel as ordinary self-messages.
 #[derive(Debug)]
-struct TxnComplete {
-    lane: usize,
-    outcome: Outcome,
+enum OwnEvent {
+    /// The outcome of one transaction attempt on `lane`.
+    TxnComplete { lane: usize, outcome: Outcome },
+    /// The periodic poll timer.
+    PollTimer,
+    /// A backoff delay elapsed: resend this frame.
+    RetryFrame {
+        lane: usize,
+        frame: TxFrame,
+        attempts: u8,
+    },
+    /// A backoff delay elapsed: resend this DMA burst.
+    RetryBurst {
+        lane: usize,
+        kind: InFlightKind,
+        attempts: u8,
+    },
 }
 
 #[derive(Debug)]
@@ -297,24 +326,36 @@ enum Outcome {
     BadRx,
 }
 
-/// The periodic poll timer.
+/// The durations the per-frame path needs, converted from bit counts once
+/// per bus with the same expressions [`BusParams`] uses.
 #[derive(Debug)]
-struct PollTimer;
-
-/// Self-message: a backoff delay elapsed, resend this frame.
-#[derive(Debug)]
-struct RetryFrame {
-    lane: usize,
-    frame: TxFrame,
-    attempts: u8,
+struct Timing {
+    frame: SimDuration,
+    hop: SimDuration,
+    /// What a transaction without a reply costs: the TX frame, the
+    /// response timeout and the inter-transaction gap.
+    no_reply: SimDuration,
+    response_timeout: SimDuration,
+    idle_poll: SimDuration,
+    broadcast: SimDuration,
+    /// Transaction time with the slave at each chain position.
+    transaction: Vec<SimDuration>,
 }
 
-/// Self-message: a backoff delay elapsed, resend this DMA burst.
-#[derive(Debug)]
-struct RetryBurst {
-    lane: usize,
-    kind: InFlightKind,
-    attempts: u8,
+impl Timing {
+    fn new(p: &BusParams, chain_len: usize) -> Self {
+        Timing {
+            frame: p.frame_time(),
+            hop: p.bits_to_time(p.hop_delay_bits),
+            no_reply: p.frame_time() + p.response_timeout() + p.bits_to_time(p.gap_bits),
+            response_timeout: p.response_timeout(),
+            idle_poll: p.bits_to_time(p.idle_poll_bits),
+            broadcast: p.broadcast_time(chain_len as u32),
+            transaction: (0..chain_len)
+                .map(|pos| p.transaction_time(pos as u32 + 1))
+                .collect(),
+        }
+    }
 }
 
 /// The TpWIRE bus as a simulation component.
@@ -327,10 +368,12 @@ struct RetryBurst {
 #[derive(Debug)]
 pub struct TpWireBus {
     params: BusParams,
+    timing: Timing,
     chain: Vec<SlaveDevice>,
-    /// raw node id → chain position.
-    positions: HashMap<u8, usize>,
-    attachments: HashMap<u8, ComponentId>,
+    /// raw node id → chain position (at most 127 slaves, so a `u8`).
+    positions: [Option<u8>; NODE_IDS],
+    /// chain position → attached component.
+    attachments: Vec<Option<ComponentId>>,
     master_attachment: Option<ComponentId>,
     lanes: Vec<Lane>,
     /// Parked jobs awaiting a lane.
@@ -368,6 +411,9 @@ pub struct TpWireBus {
     /// The supervision layer (circuit breakers + lane plan), when
     /// configured via [`BusParams::supervision`].
     supervisor: Option<Supervisor>,
+    /// Own events created during the current dispatch, in creation order;
+    /// empty between dispatches (see [`run_ahead`](TpWireBus::run_ahead)).
+    agenda: Vec<(SimTime, OwnEvent)>,
 }
 
 impl TpWireBus {
@@ -390,12 +436,13 @@ impl TpWireBus {
             .retry
             .clamped_to_watchdog(u64::from(RESET_TIMEOUT_BITS));
         params.retry = retry;
-        let mut positions = HashMap::new();
+        let mut positions = [None; NODE_IDS];
         let devices: Vec<SlaveDevice> = chain
             .iter()
             .enumerate()
             .map(|(pos, &node)| {
-                let previous = positions.insert(node.raw(), pos);
+                let pos = u8::try_from(pos).expect("distinct node ids keep a chain below 128");
+                let previous = positions[usize::from(node.raw())].replace(pos);
                 assert!(previous.is_none(), "duplicate node id {node} in chain");
                 let mut device = SlaveDevice::new(node);
                 device.set_port_count(usize::from(params.wiring.lanes()));
@@ -429,9 +476,10 @@ impl TpWireBus {
         });
         TpWireBus {
             params,
+            timing: Timing::new(&params, devices.len()),
+            attachments: vec![None; devices.len()],
             chain: devices,
             positions,
-            attachments: HashMap::new(),
             master_attachment: None,
             lanes,
             jobs: VecDeque::new(),
@@ -448,7 +496,15 @@ impl TpWireBus {
             crashed,
             break_after: None,
             supervisor,
+            agenda: Vec::new(),
         }
+    }
+
+    /// The chain position of the node with raw id `raw`, if it is on the
+    /// chain.
+    fn position(&self, raw: u8) -> Option<usize> {
+        let pos = self.positions.get(usize::from(raw)).copied().flatten()?;
+        Some(usize::from(pos))
     }
 
     /// Registers `component` to receive [`StreamDelivered`] /
@@ -458,11 +514,10 @@ impl TpWireBus {
     ///
     /// Panics if `node` is not part of the chain.
     pub fn attach(&mut self, node: NodeId, component: ComponentId) {
-        assert!(
-            self.positions.contains_key(&node.raw()),
-            "{node} is not part of this chain"
-        );
-        self.attachments.insert(node.raw(), component);
+        let pos = self
+            .position(node.raw())
+            .unwrap_or_else(|| panic!("{node} is not part of this chain"));
+        self.attachments[pos] = Some(component);
     }
 
     /// Registers the component receiving master-addressed deliveries.
@@ -485,7 +540,7 @@ impl TpWireBus {
     /// Borrows the slave with the given node id, if present.
     #[must_use]
     pub fn slave(&self, node: NodeId) -> Option<&SlaveDevice> {
-        self.positions.get(&node.raw()).map(|&pos| &self.chain[pos])
+        self.position(node.raw()).map(|pos| &self.chain[pos])
     }
 
     /// Aggregate statistics so far, read back from the registry.
@@ -530,12 +585,16 @@ impl TpWireBus {
     fn attachment_of(&self, endpoint: StreamEndpoint) -> Option<ComponentId> {
         match endpoint {
             StreamEndpoint::Master => self.master_attachment,
-            StreamEndpoint::Slave(node) => self.attachments.get(&node.raw()).copied(),
+            StreamEndpoint::Slave(node) => self.attachments[self.position(node.raw())?],
         }
     }
 
     fn notify(&mut self, ctx: &mut Context<'_>, endpoint: StreamEndpoint, msg: impl Message) {
         if let Some(component) = self.attachment_of(endpoint) {
+            // Own events created so far go to the kernel first, so their
+            // sequence numbers stay below this message's as they would
+            // with every own event scheduled on the spot.
+            self.flush_agenda(ctx);
             ctx.send(component, msg);
         } else {
             let node = match endpoint {
@@ -559,10 +618,10 @@ impl TpWireBus {
     /// Draws whether a single frame transmitted now is corrupted: the
     /// uniform per-frame rate OR'd with the burst channel's current state.
     fn frame_corrupted(&mut self, ctx: &mut Context<'_>) -> bool {
-        let p = self.params;
-        let uniform = p.frame_error_rate > 0.0 && ctx.rng().chance(p.frame_error_rate);
+        let rate = self.params.frame_error_rate;
+        let uniform = rate > 0.0 && ctx.rng().chance(rate);
         let bursty = match self.burst.as_mut() {
-            Some(channel) => channel.corrupts(ctx.now(), p.frame_time(), ctx.rng()),
+            Some(channel) => channel.corrupts(ctx.now(), self.timing.frame, ctx.rng()),
             None => false,
         };
         uniform | bursty
@@ -572,12 +631,11 @@ impl TpWireBus {
     /// plus the burst channel's current state), for aggregating over the
     /// back-to-back frames of a DMA burst.
     fn per_frame_error_rate(&mut self, ctx: &mut Context<'_>) -> f64 {
-        let p = self.params;
         let burst_rate = match self.burst.as_mut() {
-            Some(channel) => channel.rate_at(ctx.now(), p.frame_time(), ctx.rng()),
+            Some(channel) => channel.rate_at(ctx.now(), self.timing.frame, ctx.rng()),
             None => 0.0,
         };
-        1.0 - (1.0 - p.frame_error_rate) * (1.0 - burst_rate)
+        1.0 - (1.0 - self.params.frame_error_rate) * (1.0 - burst_rate)
     }
 
     /// The node the master believes is selected on `lane` (the broadcast
@@ -603,7 +661,7 @@ impl TpWireBus {
         if raw == NodeId::BROADCAST.raw() {
             return None;
         }
-        self.positions.get(&raw).copied()
+        self.position(raw)
     }
 
     /// Whether `pos`'s breaker is Open right now (always `false` when
@@ -677,7 +735,7 @@ impl TpWireBus {
     #[must_use]
     pub fn breaker_state(&self, node: NodeId) -> Option<BreakerState> {
         let sup = self.supervisor.as_ref()?;
-        let pos = *self.positions.get(&node.raw())?;
+        let pos = self.position(node.raw())?;
         Some(sup.state(pos))
     }
 
@@ -685,8 +743,7 @@ impl TpWireBus {
     /// `1.0` when supervision is off or the node is unknown.
     #[must_use]
     pub fn slave_availability(&self, node: NodeId, now: SimTime) -> f64 {
-        let (Some(sup), Some(&pos)) = (self.supervisor.as_ref(), self.positions.get(&node.raw()))
-        else {
+        let (Some(sup), Some(pos)) = (self.supervisor.as_ref(), self.position(node.raw())) else {
             return 1.0;
         };
         let residual = match sup.quarantined_since(pos) {
@@ -732,22 +789,21 @@ impl TpWireBus {
     /// modeling command latency in a real fault-injection rig.
     fn apply_fault(&mut self, ctx: &mut Context<'_>, kind: FaultKind) {
         self.obs.fault(ctx.now(), kind);
-        let position_of = |positions: &HashMap<u8, usize>, node: u8| -> usize {
-            *positions
-                .get(&node)
+        let position_of = |bus: &Self, node: u8| -> usize {
+            bus.position(node)
                 .unwrap_or_else(|| panic!("fault targets node {node}, which is not on this chain"))
         };
         match kind {
             FaultKind::SlaveCrash(node) => {
-                let pos = position_of(&self.positions, node);
+                let pos = position_of(self, node);
                 self.crashed[pos] = true;
             }
             FaultKind::SlaveRevive(node) => {
-                let pos = position_of(&self.positions, node);
+                let pos = position_of(self, node);
                 self.crashed[pos] = false;
             }
             FaultKind::SlaveReset(node) => {
-                let pos = position_of(&self.positions, node);
+                let pos = position_of(self, node);
                 let now = ctx.now();
                 let params = self.params;
                 self.chain[pos].force_reset(now, &params);
@@ -758,6 +814,85 @@ impl TpWireBus {
             FaultKind::ChainHeal => {
                 self.break_after = None;
             }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Own events and run-ahead
+    // ------------------------------------------------------------------
+
+    /// Books the completion of the transaction issued on `lane` at `now`,
+    /// `cost` later.
+    fn complete_in(&mut self, now: SimTime, cost: SimDuration, lane: usize, outcome: Outcome) {
+        let at = now.saturating_add(cost);
+        self.agenda
+            .push((at, OwnEvent::TxnComplete { lane, outcome }));
+    }
+
+    /// Books a resend `delay_bits` bit periods from now.
+    fn schedule_retry(&mut self, ctx: &Context<'_>, delay_bits: u64, retry: OwnEvent) {
+        let at = ctx
+            .now()
+            .saturating_add(self.params.bits64_to_time(delay_bits));
+        self.agenda.push((at, retry));
+    }
+
+    /// Handles one own event, whether the kernel delivered it or
+    /// [`run_ahead`](Self::run_ahead) runs it inline.
+    fn on_own_event(&mut self, ctx: &mut Context<'_>, event: OwnEvent) {
+        match event {
+            OwnEvent::TxnComplete { lane, outcome } => self.on_txn_complete(ctx, lane, outcome),
+            OwnEvent::PollTimer => {
+                self.poll_timer_armed = false;
+                self.kick_idle_lanes(ctx);
+            }
+            OwnEvent::RetryFrame {
+                lane,
+                frame,
+                attempts,
+            } => self.issue(ctx, lane, frame, attempts),
+            OwnEvent::RetryBurst {
+                lane,
+                kind,
+                attempts,
+            } => self.issue_burst(ctx, lane, kind, attempts),
+        }
+    }
+
+    /// Runs the earliest own event inline for as long as the kernel can
+    /// move the clock to it, then hands what is left to the kernel.
+    ///
+    /// Exact by construction: [`Context::advance_to`] only succeeds at
+    /// instants strictly before every other pending event, so no other
+    /// handler, RNG draw or equal-time tie could have come first. Ties
+    /// among own events go to the earliest created, as the kernel's
+    /// sequence numbers would.
+    fn run_ahead(&mut self, ctx: &mut Context<'_>) {
+        loop {
+            let next = self
+                .agenda
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, (at, _))| *at)
+                .map(|(i, (at, _))| (i, *at));
+            let Some((i, at)) = next else {
+                return;
+            };
+            if !ctx.advance_to(at) {
+                break;
+            }
+            let (_, event) = self.agenda.remove(i);
+            self.on_own_event(ctx, event);
+        }
+        self.flush_agenda(ctx);
+    }
+
+    /// Schedules every own event still on the agenda with the kernel, in
+    /// creation order.
+    fn flush_agenda(&mut self, ctx: &mut Context<'_>) {
+        let self_id = ctx.self_id();
+        for (at, event) in self.agenda.drain(..) {
+            ctx.schedule_at(at, self_id, event);
         }
     }
 
@@ -776,11 +911,9 @@ impl TpWireBus {
                 self.obs.open_issue();
             }
         }
-        let p = self.params;
-        let frame_time = p.frame_time();
-        let hop = p.bits_to_time(p.hop_delay_bits);
+        let frame_time = self.timing.frame;
+        let hop = self.timing.hop;
         let now = ctx.now();
-        let timeout_cost = frame_time + p.response_timeout() + p.bits_to_time(p.gap_bits);
 
         let lane = &mut self.lanes[lane_idx];
         lane.in_flight = Some(InFlight {
@@ -793,13 +926,7 @@ impl TpWireBus {
 
         let tx_corrupt = self.frame_corrupted(ctx);
         if tx_corrupt {
-            ctx.schedule_self_in(
-                timeout_cost,
-                TxnComplete {
-                    lane: lane_idx,
-                    outcome: Outcome::NoReply,
-                },
-            );
+            self.complete_in(now, self.timing.no_reply, lane_idx, Outcome::NoReply);
             return;
         }
 
@@ -816,6 +943,7 @@ impl TpWireBus {
         let mut reply: Option<(usize, RxFrame)> = None;
         let crashed = &self.crashed;
         let break_after = self.break_after;
+        let p = &self.params;
         for (pos, slave) in self.chain.iter_mut().enumerate() {
             // Crashed slaves neither execute nor reply (their chain
             // repeater stays passive); nothing past a chain break sees the
@@ -824,7 +952,7 @@ impl TpWireBus {
                 continue;
             }
             let arrival = now + frame_time + hop * (pos as u64 + 1);
-            if let Some(rx) = slave.on_tx(&frame, lane_idx, arrival, &p) {
+            if let Some(rx) = slave.on_tx(&frame, lane_idx, arrival, p) {
                 debug_assert!(broadcast || reply.is_none(), "two slaves replied to one TX");
                 reply = Some((pos, rx));
             }
@@ -835,14 +963,8 @@ impl TpWireBus {
 
         if broadcast {
             // No reply expected; model as a successful fire-and-forget.
-            let cost = p.broadcast_time(self.chain.len() as u32);
-            ctx.schedule_self_in(
-                cost,
-                TxnComplete {
-                    lane: lane_idx,
-                    outcome: Outcome::Ok(RxFrame::new(false, RxType::Status, 0)),
-                },
-            );
+            let ok = Outcome::Ok(RxFrame::new(false, RxType::Status, 0));
+            self.complete_in(now, self.timing.broadcast, lane_idx, ok);
             return;
         }
 
@@ -856,28 +978,15 @@ impl TpWireBus {
                     .enumerate()
                     .any(|(i, s)| !self.crashed[i] && s.pending_interrupt());
                 let rx_corrupt = self.frame_corrupted(ctx);
-                let cost = p.transaction_time(pos as u32 + 1);
                 let outcome = if rx_corrupt {
                     Outcome::BadRx
                 } else {
                     Outcome::Ok(rx)
                 };
-                ctx.schedule_self_in(
-                    cost,
-                    TxnComplete {
-                        lane: lane_idx,
-                        outcome,
-                    },
-                );
+                self.complete_in(now, self.timing.transaction[pos], lane_idx, outcome);
             }
             None => {
-                ctx.schedule_self_in(
-                    timeout_cost,
-                    TxnComplete {
-                        lane: lane_idx,
-                        outcome: Outcome::NoReply,
-                    },
-                );
+                self.complete_in(now, self.timing.no_reply, lane_idx, Outcome::NoReply);
             }
         }
     }
@@ -924,14 +1033,8 @@ impl TpWireBus {
         // the whole burst degenerates into a timeout.
         if !self.reachable(pos) {
             self.lanes[lane_idx].in_flight = Some(InFlight { kind, attempts });
-            let timeout_cost = cost + p.response_timeout();
-            ctx.schedule_self_in(
-                timeout_cost,
-                TxnComplete {
-                    lane: lane_idx,
-                    outcome: Outcome::NoReply,
-                },
-            );
+            let timeout_cost = cost + self.timing.response_timeout;
+            self.complete_in(now, timeout_cost, lane_idx, Outcome::NoReply);
             return;
         }
 
@@ -945,14 +1048,8 @@ impl TpWireBus {
             per_frame > 0.0 && ctx.rng().chance(1.0 - (1.0 - per_frame).powf(body_frames));
         if body_corrupt {
             self.lanes[lane_idx].in_flight = Some(InFlight { kind, attempts });
-            let timeout_cost = cost + p.response_timeout();
-            ctx.schedule_self_in(
-                timeout_cost,
-                TxnComplete {
-                    lane: lane_idx,
-                    outcome: Outcome::NoReply,
-                },
-            );
+            let timeout_cost = cost + self.timing.response_timeout;
+            self.complete_in(now, timeout_cost, lane_idx, Outcome::NoReply);
             return;
         }
         let ack_corrupt = per_frame > 0.0 && ctx.rng().chance(per_frame);
@@ -960,7 +1057,7 @@ impl TpWireBus {
         if ack_corrupt {
             // Write verification / read block re-request costs one extra
             // ordinary transaction.
-            total += p.transaction_time(hops);
+            total += self.timing.transaction[pos];
             let node = self.chain[pos].node().raw();
             self.obs.retry(now, node, Self::class_of_burst(&kind));
         }
@@ -998,13 +1095,7 @@ impl TpWireBus {
             self.lanes[lane_idx].ptr_at_stream = true;
         }
         self.lanes[lane_idx].in_flight = Some(InFlight { kind, attempts });
-        ctx.schedule_self_in(
-            total,
-            TxnComplete {
-                lane: lane_idx,
-                outcome,
-            },
-        );
+        self.complete_in(now, total, lane_idx, outcome);
     }
 
     /// Handles a completed transaction attempt: retry bookkeeping, then
@@ -1048,14 +1139,12 @@ impl TpWireBus {
                                     self.issue_burst(ctx, lane_idx, kind, attempt);
                                 } else {
                                     self.obs.backoff(ctx.now(), delay_bits);
-                                    ctx.schedule_self_in(
-                                        self.params.bits64_to_time(delay_bits),
-                                        RetryBurst {
-                                            lane: lane_idx,
-                                            kind,
-                                            attempts: attempt,
-                                        },
-                                    );
+                                    let retry = OwnEvent::RetryBurst {
+                                        lane: lane_idx,
+                                        kind,
+                                        attempts: attempt,
+                                    };
+                                    self.schedule_retry(ctx, delay_bits, retry);
                                 }
                             }
                             step @ (FrameStep::FastFail | FrameStep::GiveUp) => {
@@ -1143,14 +1232,12 @@ impl TpWireBus {
                             self.issue(ctx, lane_idx, frame, attempt);
                         } else {
                             self.obs.backoff(ctx.now(), delay_bits);
-                            ctx.schedule_self_in(
-                                self.params.bits64_to_time(delay_bits),
-                                RetryFrame {
-                                    lane: lane_idx,
-                                    frame,
-                                    attempts: attempt,
-                                },
-                            );
+                            let retry = OwnEvent::RetryFrame {
+                                lane: lane_idx,
+                                frame,
+                                attempts: attempt,
+                            };
+                            self.schedule_retry(ctx, delay_bits, retry);
                         }
                     }
                     step @ (FrameStep::FastFail | FrameStep::GiveUp) => {
@@ -1396,7 +1483,7 @@ impl TpWireBus {
         } else {
             match NodeId::new(dst_byte)
                 .ok()
-                .and_then(|n| self.positions.get(&n.raw()).map(|&p| (n, p)))
+                .and_then(|n| self.position(n.raw()).map(|p| (n, p)))
             {
                 Some((node, pos)) => (StreamEndpoint::Slave(node), Some(pos), false),
                 // Unknown destination: drain the payload from the FIFO (so
@@ -1548,7 +1635,7 @@ impl TpWireBus {
                     return;
                 }
                 JobStep::EnsureAndWrite { dst_node } => {
-                    if let Some(&pos) = self.positions.get(&dst_node.raw()) {
+                    if let Some(pos) = self.position(dst_node.raw()) {
                         if self.traffic_quarantined(pos) {
                             self.fast_fail_job(ctx, lane_idx, pos);
                             return;
@@ -1819,7 +1906,7 @@ impl TpWireBus {
                 // lanes): push the deadline one idle-poll period forward so
                 // the poll timer cannot spin at zero simulated cost while
                 // the quarantine windows run down.
-                let due = ctx.now() + self.params.bits_to_time(self.params.idle_poll_bits);
+                let due = ctx.now() + self.timing.idle_poll;
                 self.set_poll_due(lane_idx, due);
             }
         }
@@ -1870,8 +1957,7 @@ impl TpWireBus {
         if !self.poll_timer_armed {
             self.poll_timer_armed = true;
             let due = self.earliest_poll_due().max(ctx.now());
-            let self_id = ctx.self_id();
-            ctx.schedule_at(due, self_id, PollTimer);
+            self.agenda.push((due, OwnEvent::PollTimer));
         }
     }
 
@@ -1949,7 +2035,7 @@ impl TpWireBus {
         // Each poll consumes the INT latch; a still-pending slave re-raises
         // it on the next RX frame that passes it.
         self.int_seen = false;
-        let due = ctx.now() + self.params.bits_to_time(self.params.idle_poll_bits);
+        let due = ctx.now() + self.timing.idle_poll;
         self.set_poll_due(lane_idx, due);
         let owned = self.try_own(pos, lane_idx);
         debug_assert!(owned, "poll target ownership checked by caller");
@@ -1971,49 +2057,26 @@ impl Component for TpWireBus {
     fn start(&mut self, ctx: &mut Context<'_>) {
         // Begin the keep-alive poll cycle immediately.
         self.kick_idle_lanes(ctx);
+        self.run_ahead(ctx);
     }
 
     fn handle(&mut self, ctx: &mut Context<'_>, msg: Box<dyn Message>) {
-        let msg = match msg.downcast::<TxnComplete>() {
-            Ok(done) => {
-                let TxnComplete { lane, outcome } = *done;
-                self.on_txn_complete(ctx, lane, outcome);
-                return;
+        match msg.downcast::<OwnEvent>() {
+            Ok(mut event) => {
+                let own = std::mem::replace(&mut *event, OwnEvent::PollTimer);
+                ctx.recycle_box(event);
+                self.on_own_event(ctx, own);
             }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<PollTimer>() {
-            Ok(_) => {
-                self.poll_timer_armed = false;
-                self.kick_idle_lanes(ctx);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<RetryFrame>() {
-            Ok(retry) => {
-                let RetryFrame {
-                    lane,
-                    frame,
-                    attempts,
-                } = *retry;
-                self.issue(ctx, lane, frame, attempts);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<RetryBurst>() {
-            Ok(retry) => {
-                let RetryBurst {
-                    lane,
-                    kind,
-                    attempts,
-                } = *retry;
-                self.issue_burst(ctx, lane, kind, attempts);
-                return;
-            }
-            Err(m) => m,
-        };
+            Err(msg) => self.on_message(ctx, msg),
+        }
+        self.run_ahead(ctx);
+    }
+}
+
+impl TpWireBus {
+    /// Handles a message from another component (stream and broadcast
+    /// requests, injected faults).
+    fn on_message(&mut self, ctx: &mut Context<'_>, msg: Box<dyn Message>) {
         let msg = match msg.downcast::<FaultCommand>() {
             Ok(cmd) => {
                 self.apply_fault(ctx, cmd.0);
@@ -2028,7 +2091,7 @@ impl Component for TpWireBus {
                     payload.len() <= MAX_STREAM_PAYLOAD,
                     "stream payload exceeds {MAX_STREAM_PAYLOAD} bytes"
                 );
-                let Some(&pos) = self.positions.get(&from.raw()) else {
+                let Some(pos) = self.position(from.raw()) else {
                     panic!("SendStream from {from}, which is not on this chain");
                 };
                 let dst_byte = match to {
@@ -2063,7 +2126,7 @@ impl Component for TpWireBus {
                     payload.len() <= MAX_STREAM_PAYLOAD,
                     "stream payload exceeds {MAX_STREAM_PAYLOAD} bytes"
                 );
-                let Some(&pos) = self.positions.get(&to.raw()) else {
+                let Some(pos) = self.position(to.raw()) else {
                     panic!("MasterSend to {to}, which is not on this chain");
                 };
                 let job = RelayJob {
