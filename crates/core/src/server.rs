@@ -497,27 +497,23 @@ impl SpaceServerAgent {
         });
     }
 
-    /// Retries parked waiters in arrival order until none can make
-    /// progress.
+    /// Serves parked waiters in arrival order until none can make
+    /// progress. Each waiter is probed without touching the space's
+    /// counters; only the one that matches reads or takes.
     fn wake_waiters(&mut self, ctx: &mut Context<'_>) {
         let now = ctx.now();
-        loop {
-            let mut satisfied: Option<(usize, tsbus_tuplespace::Tuple)> = None;
-            for (i, waiter) in self.waiters.iter().enumerate() {
-                let result = if waiter.take {
-                    self.space.take(&waiter.template, now)
-                } else {
-                    self.space.read(&waiter.template, now)
-                };
-                if let Some(tuple) = result {
-                    satisfied = Some((i, tuple));
-                    break;
-                }
+        while let Some(i) = self
+            .waiters
+            .iter()
+            .position(|waiter| self.space.has_match(&waiter.template, now))
+        {
+            let waiter = self.waiters.remove(i).expect("index from position");
+            let tuple = if waiter.take {
+                self.space.take(&waiter.template, now)
+            } else {
+                self.space.read(&waiter.template, now)
             }
-            let Some((i, tuple)) = satisfied else {
-                return;
-            };
-            let waiter = self.waiters.remove(i).expect("index from enumerate");
+            .expect("the probe found a match");
             if let Some(timer) = waiter.timer {
                 ctx.cancel(timer);
             }
@@ -1035,5 +1031,68 @@ mod tests {
         let srv: &SpaceServerAgent = sim.component(server).expect("registered");
         assert_eq!(srv.space().stats().takes, 1);
         assert_eq!(srv.space().stats().reads, 1);
+    }
+
+    #[test]
+    fn one_write_wakes_exactly_one_of_many_parked_takes() {
+        let (mut sim, endpoint, server) = setup(SimDuration::ZERO);
+        // Takers on nodes 2..=5 park in that order; taker k gives up
+        // after k seconds.
+        for k in 2..=5u8 {
+            deliver(
+                server,
+                &mut sim,
+                k,
+                &Request::Take {
+                    template: template!["token"],
+                    timeout_ns: Some(u64::from(k) * 1_000_000_000),
+                },
+            );
+        }
+        sim.with_context(|ctx| {
+            ctx.schedule_in(
+                SimDuration::from_millis(500),
+                server,
+                NetDeliver {
+                    from: node(1),
+                    payload: Bytes::from(request_to_xml(&Request::Write {
+                        tuple: tuple!["token"],
+                        lease_ns: None,
+                    })),
+                },
+            );
+        });
+        sim.run(100);
+        let ep: &FakeEndpoint = sim.component(endpoint).expect("registered");
+        let answers: Vec<_> = ep
+            .replies
+            .iter()
+            .filter(|(_, to, _)| *to != node(1))
+            .collect();
+        assert_eq!(answers.len(), 4, "every taker is answered once");
+        let winners: Vec<_> = answers
+            .iter()
+            .filter(|(_, _, r)| {
+                *r == Response::Entry {
+                    tuple: Some(tuple!["token"]),
+                }
+            })
+            .collect();
+        assert_eq!(winners.len(), 1, "exactly one taker wins the tuple");
+        assert_eq!(winners[0].0, SimTime::from_millis(500));
+        assert_eq!(winners[0].1, node(2), "the oldest waiter wins");
+        for k in 3..=5u8 {
+            let (at, _, response) = answers
+                .iter()
+                .find(|(_, to, _)| *to == node(k))
+                .expect("loser answered");
+            assert_eq!(*response, Response::Entry { tuple: None });
+            assert_eq!(*at, SimTime::from_secs(u64::from(k)), "at its own timeout");
+        }
+        let srv: &SpaceServerAgent = sim.component(server).expect("registered");
+        assert_eq!(srv.space().stats().takes, 1);
+        // One miss per take as it parks; waking probes count none.
+        assert_eq!(srv.space().stats().misses, 4);
+        assert_eq!(srv.stats().waiter_timeouts, 3);
     }
 }

@@ -182,16 +182,6 @@ impl Registry {
         }
     }
 
-    /// Subtracts `n` from a counter, saturating at zero — the compensation
-    /// hook for undo paths (e.g. a transaction abort reinstating an entry
-    /// that was already counted as taken).
-    pub fn sub(&mut self, id: CounterId, n: u64) {
-        match &mut self.slots[id.0].instrument {
-            Instrument::Counter(c) => c.subtract(n),
-            other => unreachable!("handle type guarantees a counter, found {other:?}"),
-        }
-    }
-
     /// The current value of a counter.
     #[must_use]
     pub fn count(&self, id: CounterId) -> u64 {
@@ -350,9 +340,8 @@ mod tests {
         let g = reg.gauge("a/level");
         reg.inc(c);
         reg.add(c, 2);
-        reg.sub(c, 1);
         reg.set_gauge(g, 0.75);
-        assert_eq!(reg.count(c), 2);
+        assert_eq!(reg.count(c), 3);
         assert!((reg.gauge_value(g) - 0.75).abs() < f64::EPSILON);
     }
 

@@ -2,9 +2,9 @@
 //! with deterministic (timestamp) ordering and subscribe/notify events.
 //!
 //! [`Space`] is *passive* with respect to time: every operation takes the
-//! current instant explicitly, so the same type serves the discrete-event
-//! simulation (driven by [`SimTime`]) and the live threaded server (which
-//! maps wall-clock time onto `SimTime` offsets).
+//! current instant explicitly, so it plugs into the discrete-event
+//! simulation (driven by [`SimTime`]) and into plain virtual-time loops
+//! alike.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -14,18 +14,11 @@ use tsbus_obs::{CounterId, Registry, Tracer};
 
 use crate::template::{Pattern, Template};
 use crate::tuple::Tuple;
-use crate::txn::{HeldEntry, TxnRegistry};
 use crate::value::Value;
 
 /// Identifies an entry while it lives in a space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EntryId(u64);
-
-impl EntryId {
-    pub(crate) fn from_seq(seq: u64) -> Self {
-        EntryId(seq)
-    }
-}
 
 impl fmt::Display for EntryId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -228,7 +221,6 @@ pub struct Space {
     next_entry: u64,
     next_subscription: u64,
     obs: SpaceInstruments,
-    txns: TxnRegistry,
     /// The lifecycle audit stream: disabled by default, switched to an
     /// unbounded tracer by [`enable_audit`](Space::enable_audit) so
     /// downstream invariant checkers never observe a gap.
@@ -283,7 +275,6 @@ impl Space {
             next_entry: 0,
             next_subscription: 0,
             obs: SpaceInstruments::default(),
-            txns: TxnRegistry::default(),
             audit: Tracer::disabled(),
             indexed: true,
             key_field: Self::DEFAULT_KEY_FIELD,
@@ -552,6 +543,13 @@ impl Space {
         found
     }
 
+    /// Whether any live tuple matches `template`: a probe that, unlike
+    /// [`read`](Space::read), leaves the operation counters alone.
+    pub fn has_match(&mut self, template: &Template, now: SimTime) -> bool {
+        self.expire(now);
+        self.oldest_match(template).is_some()
+    }
+
     /// Returns clones of *all* live tuples matching `template`, oldest
     /// first, without removing any.
     pub fn read_all(&mut self, template: &Template, now: SimTime) -> Vec<Tuple> {
@@ -697,75 +695,6 @@ impl Space {
     /// order.
     pub fn drain_notifications(&mut self) -> Vec<Notification> {
         std::mem::take(&mut self.pending)
-    }
-
-    pub(crate) fn txns(&self) -> &TxnRegistry {
-        &self.txns
-    }
-
-    pub(crate) fn txns_mut(&mut self) -> &mut TxnRegistry {
-        &mut self.txns
-    }
-
-    /// Takes the oldest live match on behalf of a transaction: like
-    /// [`take`](Space::take), but returns the full entry (for possible
-    /// reinstatement) and defers the `Taken` notification to commit.
-    pub(crate) fn take_entry_for_txn(
-        &mut self,
-        template: &Template,
-        now: SimTime,
-    ) -> Option<HeldEntry> {
-        self.expire(now);
-        let seq = self.oldest_match(template)?;
-        let entry = self.remove_entry(seq);
-        self.obs.registry.inc(self.obs.takes);
-        Some(HeldEntry {
-            seq,
-            tuple: entry.tuple,
-            lease: entry.lease,
-            written_at: entry.written_at,
-        })
-    }
-
-    /// Puts an aborted transaction's held entry back, original timestamp
-    /// order preserved. If its lease ran out while held, it expires
-    /// instead (with the usual notification stamped at the deadline).
-    pub(crate) fn reinstate_entry(&mut self, held: HeldEntry, now: SimTime) {
-        if held.lease.is_alive(now) {
-            let id = EntryId(held.seq);
-            let entry = Entry {
-                id,
-                tuple: held.tuple,
-                lease: held.lease,
-                written_at: held.written_at,
-            };
-            self.index_entry(held.seq, &entry);
-            self.entries.insert(held.seq, entry);
-            // The provisional take never officially happened, so takes must
-            // not count it; undo the counter bump from the txn take.
-            self.obs.registry.sub(self.obs.takes, 1);
-        } else {
-            self.obs.registry.sub(self.obs.takes, 1);
-            self.obs.registry.inc(self.obs.expirations);
-            let at = match held.lease {
-                Lease::Until(deadline) => deadline,
-                Lease::Forever => now,
-            };
-            let id = EntryId(held.seq);
-            self.notify_all_at(EventKind::Expired, id, &held.tuple.clone(), at);
-        }
-    }
-
-    /// Fires a notification for an effect applied outside the normal
-    /// write/take/expire paths (transaction commits).
-    pub(crate) fn notify_external(
-        &mut self,
-        kind: EventKind,
-        entry: EntryId,
-        tuple: &Tuple,
-        at: SimTime,
-    ) {
-        self.notify_all_at(kind, entry, tuple, at);
     }
 
     fn notify_all(&mut self, kind: EventKind, entry: EntryId, tuple: &Tuple, now: SimTime) {

@@ -8,10 +8,19 @@
 //! `("fft-result", id, spectrum)`. "The overall system performance are
 //! clearly proportional to the number of consumers" — this example
 //! measures exactly that, with a real radix-2 FFT doing the work.
+//!
+//! The consumers are worker threads sharing one [`Space`] behind a mutex.
+//! They only write, take without blocking and count, so every entry lives
+//! forever and the space's virtual clock can stay at zero.
 
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use tsbus_tuplespace::{template, tuple, SpaceServer, Value, ValueType};
+use tsbus_des::SimTime;
+use tsbus_tuplespace::{template, tuple, Lease, Space, Value, ValueType};
+
+/// The one instant every operation is stamped with: entries never expire.
+const NOW: SimTime = SimTime::ZERO;
 
 /// In-place radix-2 Cooley–Tukey FFT over interleaved re/im pairs.
 fn fft(buf: &mut [(f64, f64)]) {
@@ -68,23 +77,32 @@ fn unpack(bytes: &[u8]) -> Vec<f64> {
 /// Runs `jobs` FFT requests through `consumers` worker nodes; returns the
 /// wall time to drain the queue.
 fn run_farm(consumers: usize, jobs: usize, fft_size: usize) -> Duration {
-    let space = SpaceServer::new();
+    let space = Arc::new(Mutex::new(Space::new()));
 
     // Producers: cheap nodes that only generate sample vectors.
     for id in 0..jobs {
         let samples: Vec<f64> = (0..fft_size)
             .map(|i| (i as f64 * 0.1 + id as f64).sin())
             .collect();
-        space.write(tuple!["fft-request", id as i64, pack(&samples)], None);
+        let request = tuple!["fft-request", id as i64, pack(&samples)];
+        space
+            .lock()
+            .expect("space lock")
+            .write(request, Lease::Forever, NOW);
     }
 
     let start = Instant::now();
     let workers: Vec<_> = (0..consumers)
         .map(|_| {
-            let space = space.clone();
+            let space = Arc::clone(&space);
             std::thread::spawn(move || {
                 let wanted = template!["fft-request", ValueType::Int, ValueType::Bytes];
-                while let Some(request) = space.take_if_exists(&wanted) {
+                // Bind the take first so the lock is released before the FFT.
+                loop {
+                    let taken = space.lock().expect("space lock").take(&wanted, NOW);
+                    let Some(request) = taken else {
+                        break;
+                    };
                     let id = request.field(1).and_then(Value::as_int).expect("int id");
                     let samples =
                         unpack(request.field(2).and_then(Value::as_bytes).expect("bytes"));
@@ -98,7 +116,11 @@ fn run_farm(consumers: usize, jobs: usize, fft_size: usize) -> Duration {
                         .iter()
                         .map(|(re, im)| (re * re + im * im).sqrt())
                         .collect();
-                    space.write(tuple!["fft-result", id, pack(&spectrum)], None);
+                    let result = tuple!["fft-result", id, pack(&spectrum)];
+                    space
+                        .lock()
+                        .expect("space lock")
+                        .write(result, Lease::Forever, NOW);
                 }
             })
         })
@@ -107,8 +129,9 @@ fn run_farm(consumers: usize, jobs: usize, fft_size: usize) -> Duration {
         w.join().expect("worker thread");
     }
     let elapsed = start.elapsed();
+    let results = template!["fft-result", ValueType::Int, ValueType::Bytes];
     assert_eq!(
-        space.count(&template!["fft-result", ValueType::Int, ValueType::Bytes]),
+        space.lock().expect("space lock").count(&results, NOW),
         jobs,
         "every request must have produced a result"
     );
